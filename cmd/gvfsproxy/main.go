@@ -48,8 +48,14 @@
 // over HTTP: Prometheus exposition at /metrics (with exemplars when
 // the flight recorder is on), the request-trace ring at /traces, the
 // structured event log at /logz, the flight recorder at /flightrec,
-// per-file/per-client accounting at /statusz, and the Go runtime
-// debug endpoints under /debug.
+// per-file/per-client accounting at /statusz (top-10 rankings, a
+// 128-event write-back audit log), cache analytics at /cachez under
+// -cachean (1% block sample, 60s working-set window), and the Go
+// runtime debug endpoints under /debug.
+//
+// With -readahead N the proxy prefetches an N-block window after a
+// sequential run, the whole window outstanding on the upstream
+// connection at once.
 //
 // Usage:
 //
@@ -67,10 +73,8 @@ import (
 	"syscall"
 
 	"gvfs/internal/cache"
-	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 	"gvfs/internal/stack"
-	"gvfs/internal/sunrpc"
 	"gvfs/internal/tunnel"
 )
 
@@ -82,10 +86,11 @@ func main() {
 	if err := cache.SetCrashpoint(flags.Crashpoint); err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
-	opts, err := flags.OptionsV2()
+	opts, err := flags.Options()
 	if err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
+	opts.ListenAddr = flags.Listen
 	// One registry serves the whole process: proxy counters, log-event
 	// counters and the tunnel bridges all land in it.
 	reg := obs.NewRegistry()
@@ -97,21 +102,12 @@ func main() {
 	defer closeLog()
 	opts.Logger = logger
 
-	node, err := stack.StartProxyV2(opts)
+	node, err := stack.StartProxy(opts)
 	if err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
-	// StartProxy listens on an ephemeral port; re-serve on the
-	// requested address as well.
-	l, err := stack.ListenOn(flags.Listen, nil, nil)
-	if err != nil {
-		log.Fatalf("gvfsproxy: listen: %v", err)
-	}
-	srv := sunrpc.NewServer()
-	srv.Register(nfs3.Program, nfs3.Version, node.Proxy)
-	srv.Register(nfs3.MountProgram, nfs3.MountVersion, node.Proxy)
 	logger.Info("proxy up",
-		"listen", l.Addr().String(),
+		"listen", node.Addr,
 		"backend", flags.Backend,
 		"upstream", flags.Upstream,
 		"replicas", flags.Replicas,
@@ -152,53 +148,36 @@ func main() {
 		stopStats = stack.StartStatsLogger(logger, node.Proxy, flags.StatsEvery)
 	}
 
-	done := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGUSR1, syscall.SIGUSR2, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		for sig := range sigs {
-			switch sig {
-			case syscall.SIGUSR1:
-				logger.Info("middleware signal: write back dirty data", "sig", "SIGUSR1")
-				if err := node.Proxy.WriteBack(); err != nil {
-					logger.Error("write-back failed", "err", err)
-				}
-			case syscall.SIGUSR2:
-				logger.Info("middleware signal: flush caches", "sig", "SIGUSR2")
-				if err := node.Proxy.Flush(); err != nil {
-					logger.Error("flush failed", "err", err)
-				}
-			case syscall.SIGINT, syscall.SIGTERM:
-				// Graceful shutdown: settle the session, snapshot the
-				// cache index so the next start is warm, and stop the
-				// stats logger before the server goes away.
-				logger.Info("shutting down", "sig", sig.String())
-				close(done)
-				stopStats()
-				if err := node.Proxy.WriteBack(); err != nil {
-					logger.Error("shutdown write-back failed", "err", err)
-				}
-				if flags.PersistIndex && node.BlockCache != nil {
-					if err := node.BlockCache.SaveIndex(); err != nil {
-						logger.Error("cache index snapshot failed", "err", err)
-					}
-				}
-				srv.Close()
-				l.Close()
-				return
+	for sig := range sigs {
+		switch sig {
+		case syscall.SIGUSR1:
+			logger.Info("middleware signal: write back dirty data", "sig", "SIGUSR1")
+			if err := node.Proxy.WriteBack(); err != nil {
+				logger.Error("write-back failed", "err", err)
 			}
-		}
-	}()
-	err = srv.Serve(l)
-	// Serve returns when the listener closes — during signal-driven
-	// shutdown that is the normal exit, not an error.
-	select {
-	case <-done:
-	default:
-		close(done)
-		stopStats()
-		if err != nil {
-			log.Fatalf("gvfsproxy: serve: %v", err)
+		case syscall.SIGUSR2:
+			logger.Info("middleware signal: flush caches", "sig", "SIGUSR2")
+			if err := node.Proxy.Flush(); err != nil {
+				logger.Error("flush failed", "err", err)
+			}
+		case syscall.SIGINT, syscall.SIGTERM:
+			// Graceful shutdown: stop the stats logger, settle the
+			// session, snapshot the cache index so the next start is
+			// warm, then stop the server.
+			logger.Info("shutting down", "sig", sig.String())
+			stopStats()
+			if err := node.Proxy.WriteBack(); err != nil {
+				logger.Error("shutdown write-back failed", "err", err)
+			}
+			if flags.PersistIndex && node.BlockCache != nil {
+				if err := node.BlockCache.SaveIndex(); err != nil {
+					logger.Error("cache index snapshot failed", "err", err)
+				}
+			}
+			node.Close()
+			return
 		}
 	}
 }

@@ -194,9 +194,11 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // updatePageAfterWrite keeps the buffer cache coherent with a write.
-// If the page is resident it is patched in place; a non-resident page
-// is only installed for whole-block writes (partial writes to absent
-// pages would otherwise need a read-modify-write round trip).
+// If the page is resident it is patched in place. A non-resident page
+// is only installed when the chunk starts the block and is its whole
+// content: it fills the block, or it reaches the file's known end so
+// nothing follows it. Any other partial write to an absent page would
+// need a read-modify-write round trip, so the page stays absent.
 func (f *File) updatePageAfterWrite(blockStart, inBlock int64, chunk []byte) {
 	block := uint64(blockStart) / uint64(f.s.bs)
 	if data, ok := f.s.pages.Get(f.fh, block); ok {
@@ -210,7 +212,13 @@ func (f *File) updatePageAfterWrite(blockStart, inBlock int64, chunk []byte) {
 		f.s.pages.Put(f.fh, block, data)
 		return
 	}
-	if inBlock == 0 {
+	if inBlock != 0 {
+		return
+	}
+	f.mu.Lock()
+	size := f.size
+	f.mu.Unlock()
+	if len(chunk) == int(f.s.bs) || uint64(blockStart)+uint64(len(chunk)) >= size {
 		f.s.pages.Put(f.fh, block, chunk)
 	}
 }

@@ -229,12 +229,6 @@ func (s *Session) NFS() *nfs3.Client { return s.nfs }
 // BlockSize returns the session's transfer size.
 func (s *Session) BlockSize() uint32 { return s.bs }
 
-// PageCacheStats reports buffer-cache effectiveness.
-//
-// Deprecated: the unified stats surface is SessionConfig.Metrics +
-// obs.Snapshot(); this accessor remains for existing callers.
-func (s *Session) PageCacheStats() pagecache.Stats { return s.pages.Stats() }
-
 // DropCaches empties the in-memory buffer cache — the equivalent of
 // the paper's un-mounting and re-mounting between cold-cache runs.
 func (s *Session) DropCaches() {

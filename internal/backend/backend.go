@@ -54,15 +54,11 @@ type ReadResult struct {
 }
 
 // Caps advertises what a backend can do, so the proxy can enable
-// optional machinery (pipelined read-ahead, hash-hinted dedup)
-// without type-switching on concrete implementations for policy.
+// optional machinery (hash-hinted dedup) without type-switching on
+// concrete implementations for policy.
 type Caps struct {
 	// Name labels the backend in logs and metrics ("nfs3", "objstore").
 	Name string
-
-	// Batched is set when ReadBatch pipelines a window of reads in
-	// roughly one round trip (see BatchReader).
-	Batched bool
 
 	// ContentHashes is set when the backend knows block content
 	// hashes without transferring the data (see Hasher).

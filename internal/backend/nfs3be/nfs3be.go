@@ -343,8 +343,7 @@ func (b *Backend) Caller() nfs3.Caller { return b.rpc }
 
 // Caps implements backend.Backend.
 func (b *Backend) Caps() backend.Caps {
-	_, batched := b.rpc.(sunrpc.Starter)
-	return backend.Caps{Name: "nfs3", Batched: batched}
+	return backend.Caps{Name: "nfs3"}
 }
 
 // Close implements backend.Backend. The RPC transport belongs to the

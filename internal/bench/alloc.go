@@ -6,12 +6,12 @@ package bench
 // reports allocs/op, B/op and latency percentiles for warm-cache READ
 // and WRITE over a real loopback connection (client marshal → record
 // framing → proxy decode → cache bank I/O → encode → client decode),
-// and sweeps the WAN read-ahead window comparing pipelined prefetching
-// (whole window outstanding on one connection) against one call per
-// block.
+// and sweeps the WAN read-ahead window against a read-ahead-off (depth
+// 0) baseline.
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -42,11 +42,10 @@ type AllocPath struct {
 	P99Ms       float64 `json:"p99_ms"`
 }
 
-// AllocSweepPoint is one (depth, mode) cell of the WAN read-ahead
-// sweep.
+// AllocSweepPoint is one depth of the WAN read-ahead sweep (depth 0 =
+// read-ahead off).
 type AllocSweepPoint struct {
 	Depth     int     `json:"depth"`
-	Pipelined bool    `json:"pipelined"`
 	ScanMs    float64 `json:"scan_ms"`
 	ReadP50Ms float64 `json:"read_p50_ms"`
 	ReadP99Ms float64 `json:"read_p99_ms"`
@@ -168,32 +167,24 @@ func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
 }
 
 // allocSweepStreams is how many files the sweep scans concurrently —
-// the multi-VM case. Prefetch capacity (16 concurrent prefetches) is
-// shared: call-per-block spends one slot per outstanding block, so
-// streams × depth beyond 16 starves windows and demand reads eat full
-// WAN round trips; pipelined mode spends one slot per window and keeps
-// every stream's window outstanding.
+// the multi-VM case. Prefetch capacity (16 concurrent windows) is
+// shared across streams; each window is one slot with the whole window
+// outstanding on the upstream connection.
 const allocSweepStreams = 6
 
 // allocSweepThink is the per-block compute time each sweep stream
 // spends between reads — a reader that processes data as it arrives
 // (the paper's VM boot workload) rather than a pure bandwidth probe.
 // With think time, a prefetcher that keeps the window outstanding
-// stays ahead of the reader and demand reads hit cache; one that
-// cannot hold its window (slot starvation) leaks full round trips
-// into the demand path.
+// stays ahead of the reader and demand reads hit cache; without
+// read-ahead every block is a full round trip on the demand path.
 const allocSweepThink = 2 * time.Millisecond
 
 // runAllocSweepPoint scans several files concurrently through a
-// WAN-linked proxy with the given read-ahead depth and mode, returning
-// demand read latency percentiles and total scan time.
-func (o Options) runAllocSweepPoint(depth int, pipelined bool) (AllocSweepPoint, error) {
-	pt, _, err := o.runAllocSweepPointDurs(depth, pipelined)
-	return pt, err
-}
-
-func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPoint, []time.Duration, error) {
-	pt := AllocSweepPoint{Depth: depth, Pipelined: pipelined}
+// WAN-linked proxy with the given read-ahead depth, returning demand
+// read latency percentiles and total scan time.
+func (o Options) runAllocSweepPoint(depth int) (AllocSweepPoint, error) {
+	pt := AllocSweepPoint{Depth: depth}
 	const bs = 8192
 	const fileBytes = 4 << 20
 	fs := memfs.New()
@@ -203,7 +194,7 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	}
 	for s := 0; s < allocSweepStreams; s++ {
 		if err := fs.WriteFile(fmt.Sprintf("/scan%d.bin", s), img); err != nil {
-			return pt, nil, err
+			return pt, err
 		}
 	}
 	// A latency-dominated WAN: the paper's 30 ms RTT with enough
@@ -214,12 +205,12 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	wan := simnet.NewLink(wanProfile)
 	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer server.Close()
 	dir, err := os.MkdirTemp(o.WorkDir, "allocsweep")
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer os.RemoveAll(dir)
 	node, err := stack.StartProxy(stack.ProxyOptions{
@@ -230,16 +221,15 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 			Dir: dir, Banks: 16, SetsPerBank: 16, Assoc: 4,
 			BlockSize: bs, Policy: cache.WriteBack,
 		},
-		ReadAhead:         depth,
-		ReadAheadPipeline: pipelined,
+		ReadAhead: depth,
 	})
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer node.Close()
 	sess, err := newBenchSession(node.Addr, o)
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer sess.Close()
 
@@ -275,7 +265,7 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	for s := 0; s < allocSweepStreams; s++ {
 		r := <-results
 		if r.err != nil {
-			return pt, nil, r.err
+			return pt, r.err
 		}
 		durs = append(durs, r.durs...)
 	}
@@ -283,10 +273,10 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
 	pt.ReadP50Ms = percentileMs(durs, 0.50)
 	pt.ReadP99Ms = percentileMs(durs, 0.99)
-	return pt, durs, nil
+	return pt, nil
 }
 
-// RunAlloc measures warm-path allocation discipline and the pipelined
+// RunAlloc measures warm-path allocation discipline and the WAN
 // read-ahead sweep, writing BENCH_alloc.json when a results directory
 // is configured.
 func (o Options) RunAlloc() (*Table, error) {
@@ -304,20 +294,14 @@ func (o Options) RunAlloc() (*Table, error) {
 	o.logf("alloc: warm read %.1f allocs/op (%.0f B/op), warm write %.1f allocs/op (%.0f B/op)",
 		read.AllocsPerOp, read.BytesPerOp, write.AllocsPerOp, write.BytesPerOp)
 
-	for _, depth := range []int{2, 4, 8, 16} {
-		for _, pipelined := range []bool{false, true} {
-			pt, err := o.runAllocSweepPoint(depth, pipelined)
-			if err != nil {
-				return nil, err
-			}
-			report.Sweep = append(report.Sweep, pt)
-			mode := "call-per-block"
-			if pipelined {
-				mode = "pipelined"
-			}
-			o.logf("alloc: WAN scan depth %d %s: %.0fms total, read p99 %.1fms",
-				depth, mode, pt.ScanMs, pt.ReadP99Ms)
+	for _, depth := range []int{0, 2, 4, 8, 16} {
+		pt, err := o.runAllocSweepPoint(depth)
+		if err != nil {
+			return nil, err
 		}
+		report.Sweep = append(report.Sweep, pt)
+		o.logf("alloc: WAN scan depth %d: %.0fms total, read p99 %.1fms",
+			depth, pt.ScanMs, pt.ReadP99Ms)
 	}
 
 	if err := o.writeResults("BENCH_alloc.json", report); err != nil {
@@ -329,18 +313,14 @@ func (o Options) RunAlloc() (*Table, error) {
 	// apply to these numbers.
 	table := &Table{
 		ID:      "alloc",
-		Title:   "Hot-path allocation discipline and pipelined read-ahead",
-		Columns: []string{"allocs/op", "B/op", "p50 ms", "p99 ms"},
+		Title:   "Hot-path allocation discipline and WAN read-ahead",
+		Columns: []string{"allocs/op", "B/op", "p50 ms", "p99 ms", "scan ms"},
 	}
 	table.AddValueRow("warm READ", read.AllocsPerOp, read.BytesPerOp, read.P50Ms, read.P99Ms)
 	table.AddValueRow("warm WRITE", write.AllocsPerOp, write.BytesPerOp, write.P50Ms, write.P99Ms)
 	for _, pt := range report.Sweep {
-		mode := "call-per-block"
-		if pt.Pipelined {
-			mode = "pipelined"
-		}
-		table.AddValueRow(fmt.Sprintf("WAN scan depth %d %s", pt.Depth, mode),
-			0, 0, pt.ReadP50Ms, pt.ReadP99Ms)
+		table.AddValueRow(fmt.Sprintf("WAN scan depth %d", pt.Depth),
+			math.NaN(), math.NaN(), pt.ReadP50Ms, pt.ReadP99Ms, pt.ScanMs)
 	}
 	table.AddNote("WAN sweep: %d streams, %v think/block, 15ms effective RTT (30ms profile at 1/2 time scale)",
 		allocSweepStreams, allocSweepThink)

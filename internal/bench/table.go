@@ -14,8 +14,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 )
@@ -34,7 +36,22 @@ type Table struct {
 // Row is one table row.
 type Row struct {
 	Label  string
-	Values []float64 // seconds; NaN prints blank
+	Values []float64 // seconds; NaN prints blank (null in JSON)
+}
+
+// MarshalJSON encodes NaN cells as null, which encoding/json cannot
+// represent as a float.
+func (r Row) MarshalJSON() ([]byte, error) {
+	vals := make([]any, len(r.Values))
+	for i, v := range r.Values {
+		if !math.IsNaN(v) {
+			vals[i] = v
+		}
+	}
+	return json.Marshal(struct {
+		Label  string
+		Values []any
+	}{r.Label, vals})
 }
 
 // AddRow appends a row of durations.
@@ -94,6 +111,10 @@ func (t *Table) Print(w io.Writer) {
 	for _, r := range t.Rows {
 		fmt.Fprintf(w, "%-*s", label, r.Label)
 		for _, v := range r.Values {
+			if math.IsNaN(v) {
+				fmt.Fprintf(w, "%*s", width, "")
+				continue
+			}
 			fmt.Fprintf(w, "%*.2f", width, v)
 		}
 		fmt.Fprintln(w)

@@ -336,18 +336,6 @@ func (e Endpoint) ListenAndServe(addr string) (net.Listener, error) {
 	return l, nil
 }
 
-// NewMux is the pre-Endpoint form, kept for callers that only have a
-// registry and tracer.
-func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
-	return Endpoint{Registry: reg, Tracer: tracer}.Mux()
-}
-
-// Serve starts a registry+tracer endpoint on addr; see
-// Endpoint.ListenAndServe.
-func Serve(addr string, reg *Registry, tracer *Tracer) (net.Listener, error) {
-	return Endpoint{Registry: reg, Tracer: tracer}.ListenAndServe(addr)
-}
-
 // ParseText parses Prometheus text exposition output into a flat
 // sample map keyed by `name` or `name{labels}`. Consumers that poll
 // /metrics (cmd/gvfstop, benches) share this instead of re-scraping by

@@ -89,7 +89,7 @@ func TestMuxEndpoints(t *testing.T) {
 	act.Span(LayerBlockCache, "hit", time.Now())
 	act.Finish()
 
-	srv := httptest.NewServer(NewMux(r, tr))
+	srv := httptest.NewServer(Endpoint{Registry: r, Tracer: tr}.Mux())
 	defer srv.Close()
 
 	get := func(path string) string {

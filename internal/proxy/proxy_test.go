@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gvfs/internal/backend/objstore"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
@@ -589,6 +590,50 @@ func TestReadAheadDoesNotCorruptWrites(t *testing.T) {
 		if data[block*8192] != want {
 			t.Fatalf("block %d = %#x, want %#x", block, data[block*8192], want)
 		}
+	}
+}
+
+// TestReadAheadConcurrentReadsObjstore runs read-ahead over the object
+// store backend, which has no batch reader: each window's Reads are
+// issued concurrently, and every prefetched block must still land at
+// its own offset.
+func TestReadAheadConcurrentReadsObjstore(t *testing.T) {
+	const bs = 8192
+	store := objstore.NewMemStore()
+	payload := patternPayload(512 * 1024)
+	if err := objstore.New(store, bs).CreateFile("/seq.bin", payload); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
+		BlockSize: bs, Policy: cache.WriteBack}
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		Backend:       stack.BackendObjstore,
+		ObjstoreStore: store,
+		ObjstoreBlock: bs,
+		CacheConfig:   &cfg,
+		ReadAhead:     8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	got, err := sess.ReadFile("/seq.bin")
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("sequential read over objstore: err=%v, equal=%v", err, bytes.Equal(got, payload))
+	}
+	if n := node.Proxy.Snapshot().Counter("gvfs_proxy_prefetched_total"); n == 0 {
+		t.Error("no blocks prefetched on a fully sequential scan over objstore")
+	}
+	sess.DropCaches()
+	got, err = sess.ReadFile("/seq.bin")
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("re-read after objstore prefetch: err=%v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"sync"
-	"time"
 
 	"gvfs/internal/backend"
 	"gvfs/internal/cache"
@@ -14,14 +13,15 @@ import (
 // to support pre-fetching ... in a selective manner". The proxy
 // profiles per-file access at RPC granularity; once it observes a
 // sequential run of block reads it prefetches a window of following
-// blocks into the disk cache concurrently, overlapping many WAN round
-// trips. Demand reads that race an in-flight prefetch of the same
-// block wait for it instead of duplicating the transfer.
+// blocks into the disk cache with the whole window outstanding at once,
+// overlapping many WAN round trips. Demand reads that race an in-flight
+// prefetch of the same block wait for it instead of duplicating the
+// transfer.
 
 // raMinStreak is how many sequential reads trigger prefetching.
 const raMinStreak = 2
 
-// raConcurrency bounds simultaneous prefetch RPCs per proxy.
+// raConcurrency bounds simultaneous prefetch windows per proxy.
 const raConcurrency = 16
 
 // raMaxFiles caps the per-file profile map. A proxy serving a large
@@ -65,7 +65,7 @@ func newReadAhead() *readAhead {
 // minBatch blocks are due, so prefetches go out as batches instead of
 // degenerating to one block per demand read in steady state. Batching
 // is what lets a pipelined transport amortize a whole burst into one
-// round trip; per-block transports pass 1 for the old behavior.
+// round trip; minBatch <= 1 extends the window on every observation.
 func (ra *readAhead) observe(fh nfs3.FH, block uint64, window, minBatch int) []uint64 {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
@@ -202,20 +202,7 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, block uint64) {
 	if p.brownout() {
 		return
 	}
-	pipelined := false
-	var br backend.BatchReader
-	if p.cfg.ReadAheadPipeline {
-		if b, ok := p.cfg.Backend.(backend.BatchReader); ok && p.cfg.Backend.Caps().Batched {
-			pipelined, br = true, b
-		}
-	}
-	minBatch := 1
-	if pipelined {
-		if minBatch = p.cfg.ReadAhead / 2; minBatch < 1 {
-			minBatch = 1
-		}
-	}
-	targets := p.ra.observe(fh, block, p.cfg.ReadAhead, minBatch)
+	targets := p.ra.observe(fh, block, p.cfg.ReadAhead, p.cfg.ReadAhead/2)
 	if len(targets) == 0 {
 		return
 	}
@@ -237,94 +224,76 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, block uint64) {
 	if len(eligible) == 0 {
 		return
 	}
-
-	if pipelined {
-		// One goroutine, one sem slot, the whole batch outstanding
-		// on the wire at once. Never block the demand path on
-		// prefetch capacity.
-		select {
-		case p.ra.sem <- struct{}{}:
-		default:
-			for _, b := range eligible {
-				p.ra.finish(cache.BlockID{FH: fh.Key(), Block: b})
-			}
-			p.ra.rewind(fh, eligible[0])
-			return
-		}
-		go p.prefetchPipelined(br, fh, append([]uint64(nil), eligible...), bs)
-		return
-	}
-
-	// Call-per-block: one goroutine and one synchronous RPC per target.
-	for i, b := range eligible {
-		id := cache.BlockID{FH: fh.Key(), Block: b}
-		// Never block the demand path on prefetch capacity.
-		select {
-		case p.ra.sem <- struct{}{}:
-		default:
-			for _, rb := range eligible[i:] {
-				p.ra.finish(cache.BlockID{FH: fh.Key(), Block: rb})
-			}
-			p.ra.rewind(fh, b)
-			return
-		}
-		go func(b uint64, id cache.BlockID) {
-			defer func() {
-				<-p.ra.sem
-				p.ra.finish(id)
-			}()
-			p.prefetchBlock(fh, b, bs)
-		}(b, id)
-	}
-}
-
-// prefetchPipelined pulls a window of blocks through the backend's
-// batch reader: every request is transmitted back to back, then the
-// replies are collected in order (backend/nfs3be pipelines them on the
-// upstream connection). Over a WAN the window costs one round trip
-// plus serialization instead of one round trip per block. Every block
-// in blocks has a registered in-flight entry; this function owns
-// finishing all of them.
-func (p *Proxy) prefetchPipelined(br backend.BatchReader, fh nfs3.FH, blocks []uint64, bs uint64) {
-	defer func() { <-p.ra.sem }()
-	if p.degraded() {
-		for _, b := range blocks {
+	// One goroutine and one sem slot per window. Never block the
+	// demand path on prefetch capacity.
+	select {
+	case p.ra.sem <- struct{}{}:
+	default:
+		for _, b := range eligible {
 			p.ra.finish(cache.BlockID{FH: fh.Key(), Block: b})
 		}
+		p.ra.rewind(fh, eligible[0])
 		return
 	}
-	offs := make([]uint64, len(blocks))
-	for i, b := range blocks {
-		offs[i] = b * bs
-	}
-	finished := make([]bool, len(blocks))
-	br.ReadBatch(backend.FileID(fh), offs, uint32(bs), backend.CallOpts{},
-		func(i int, r backend.ReadResult, err error) {
-			p.observeUpstream(err)
-			if err == nil {
-				p.storePrefetched(fh, blocks[i], r)
-			}
-			p.ra.finish(cache.BlockID{FH: fh.Key(), Block: blocks[i]})
-			finished[i] = true
-		})
-	// A batch cut short (transport down mid-window) still owes every
-	// remaining waiter its wake-up.
-	for i, done := range finished {
-		if !done {
-			p.ra.finish(cache.BlockID{FH: fh.Key(), Block: blocks[i]})
-		}
-	}
+	go p.prefetchWindow(fh, append([]uint64(nil), eligible...), bs)
 }
 
-// prefetchBlock pulls one block into the disk cache. Errors are
-// swallowed: prefetching is best-effort and the demand path remains
-// correct without it.
-func (p *Proxy) prefetchBlock(fh nfs3.FH, block, bs uint64) {
-	r, err := p.beRead(fh, block*bs, uint32(bs), nil, time.Time{})
-	if err != nil {
+// prefetchWindow pulls a window of blocks into the disk cache with
+// every read outstanding at once. A backend.BatchReader (nfs3be)
+// pipelines the window on its upstream connection, so over a WAN it
+// costs one round trip plus serialization instead of one round trip
+// per block; other backends (objstore, replbe) get the window's Reads
+// issued concurrently. Errors are swallowed: prefetching is
+// best-effort and the demand path remains correct without it. Every
+// block in blocks has a registered in-flight entry; this function owns
+// finishing all of them.
+func (p *Proxy) prefetchWindow(fh nfs3.FH, blocks []uint64, bs uint64) {
+	defer func() { <-p.ra.sem }()
+	finish := func(i int) { p.ra.finish(cache.BlockID{FH: fh.Key(), Block: blocks[i]}) }
+	if p.degraded() {
+		for i := range blocks {
+			finish(i)
+		}
 		return
 	}
-	p.storePrefetched(fh, block, r)
+	store := func(i int, r backend.ReadResult, err error) {
+		p.observeUpstream(err)
+		if err == nil {
+			p.storePrefetched(fh, blocks[i], r)
+		}
+		finish(i)
+	}
+	f := backend.FileID(fh)
+	if br, ok := p.cfg.Backend.(backend.BatchReader); ok {
+		offs := make([]uint64, len(blocks))
+		for i, b := range blocks {
+			offs[i] = b * bs
+		}
+		finished := make([]bool, len(blocks))
+		br.ReadBatch(f, offs, uint32(bs), backend.CallOpts{},
+			func(i int, r backend.ReadResult, err error) {
+				store(i, r, err)
+				finished[i] = true
+			})
+		// A batch cut short (transport down mid-window) still owes every
+		// remaining waiter its wake-up.
+		for i, done := range finished {
+			if !done {
+				finish(i)
+			}
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i, b := range blocks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := p.cfg.Backend.Read(f, b*bs, uint32(bs), backend.CallOpts{})
+			store(i, r, err)
+		}()
+	}
+	wg.Wait()
 }
 
 // storePrefetched inserts one prefetched block into the block cache,

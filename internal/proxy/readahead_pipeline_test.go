@@ -22,6 +22,10 @@ func patternPayload(n int) []byte {
 	return p
 }
 
+// startPipelinedRAProxy starts a read-ahead proxy over the nfs3
+// backend, a backend.BatchReader: each prefetch window goes upstream
+// as one ReadBatch with all of its requests outstanding on the
+// connection.
 func startPipelinedRAProxy(t *testing.T, fs *memfs.FS) (*stack.Node, func()) {
 	t.Helper()
 	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
@@ -31,10 +35,9 @@ func startPipelinedRAProxy(t *testing.T, fs *memfs.FS) (*stack.Node, func()) {
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
 		BlockSize: 8192, Policy: cache.WriteBack}
 	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr:      server.ProxyAddr(),
-		CacheConfig:       &cfg,
-		ReadAhead:         8,
-		ReadAheadPipeline: true,
+		UpstreamAddr: server.ProxyAddr(),
+		CacheConfig:  &cfg,
+		ReadAhead:    8,
 	})
 	if err != nil {
 		server.Close()

@@ -89,9 +89,12 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 
 // With one execution slot and two backlogged clients, deficit
 // round-robin must alternate admissions strictly — the flooding
-// client's extra queue depth buys it nothing.
+// client's extra queue depth buys it nothing. The quantum equals the
+// unit request cost, so each turn admits exactly one request (with the
+// 64 KiB default quantum, whichever client entered the ring first
+// would be entitled to its whole backlog).
 func TestFairShareAlternates(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64})
+	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64, Quantum: 1})
 	defer s.Close()
 	hold, err := s.Admit("seed", 1, time.Time{})
 	if err != nil {

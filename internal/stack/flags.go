@@ -66,13 +66,15 @@ func (f *LogFlags) Logger(component string, metrics *obs.Registry) (*obs.Logger,
 }
 
 // ProxyFlags collects every command-line knob of a proxy daemon in one
-// struct, replacing the loose flag variables gvfsproxy used to declare
-// inline. BindProxyFlags registers them on a FlagSet and Options()
+// struct. BindProxyFlags registers them on a FlagSet and Options()
 // turns the parsed values into the same ProxyOptions the benchmarks
 // and the chaos/failure tests build directly — one construction path
 // for daemons, benches and tests.
 type ProxyFlags struct {
-	// Daemon-level settings (not part of ProxyOptions).
+	// Daemon-level settings (not part of ProxyOptions). Listen is a
+	// deployment address: the daemon copies it into
+	// ProxyOptions.ListenAddr itself, so Options() callers that want an
+	// ephemeral port keep one.
 	Listen      string        // listen address for local NFS clients
 	StatsEvery  time.Duration // periodic stats logging (0 = off)
 	MetricsAddr string        // observability HTTP endpoint (empty = off)
@@ -82,10 +84,6 @@ type ProxyFlags struct {
 	FlightRing    int           // retained slow/error recordings (0 = off)
 	SlowThreshold time.Duration // latency that promotes a call (0 = default)
 
-	// Statusz accounting bounds.
-	StatuszTopN int // rows per /statusz ranking (0 = default)
-	AuditRing   int // write-back audit events retained (0 = default)
-
 	// Log holds the shared logging flags (also bindable standalone via
 	// BindLogFlags for daemons that are not proxies, like gvfsd).
 	Log *LogFlags
@@ -94,12 +92,12 @@ type ProxyFlags struct {
 	Upstream string // next hop address
 	Keyfile  string // 32-byte tunnel session key file
 
-	// Backend selection (see ProxyOptionsV2).
+	// Backend selection (see ProxyOptions.Backend).
 	Backend     string // nfs3 | objstore | repl
 	ObjstoreDir string // object store directory (backend objstore)
 	Dedup       bool   // content-addressed cross-file dedup in the block cache
 
-	// Replicated backend (see ProxyOptionsV2.Replicas / replbe.Config).
+	// Replicated backend (see ProxyOptions.Replicas / replbe.Config).
 	Replicas       string        // comma-separated replica specs (backend repl)
 	ReplQuorum     bool          // majority-ack writes instead of primary-ack
 	ReplHedgeQuant float64       // hedged-read latency quantile (0 = default, <0 off)
@@ -127,7 +125,6 @@ type ProxyFlags struct {
 
 	// Behaviour knobs.
 	ReadAhead        int
-	ReadAheadPipe    bool
 	WriteCoalesce    int
 	PersistIndex     bool
 	IdleWriteBack    time.Duration
@@ -148,14 +145,8 @@ type ProxyFlags struct {
 	BrownoutExit  time.Duration // EWMA delay clearing brownout (0 = enter/4)
 	CallBudget    time.Duration // default end-to-end call deadline (0 = off)
 
-	// Accounting table bounds.
-	AcctEntries int           // max per-file/per-client rows (0 = default)
-	AcctTTL     time.Duration // idle row eviction TTL (0 = default)
-
 	// Cache analytics (see internal/cachean and DESIGN.md §11).
-	Cachean       bool          // enable miss-ratio curves + working-set estimation
-	CacheanRate   float64       // spatial sample rate (0 = default 0.01)
-	CacheanWindow time.Duration // working-set sliding window (0 = default 60s)
+	Cachean bool // enable miss-ratio curves + working-set estimation
 }
 
 // BindProxyFlags registers the proxy daemon's flags on fs and returns
@@ -187,7 +178,6 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.StringVar(&f.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
 	fs.StringVar(&f.FileChan, "filechan", "", "image server file-channel address")
 	fs.IntVar(&f.ReadAhead, "readahead", 0, "sequential read-ahead window in blocks (0 = off)")
-	fs.BoolVar(&f.ReadAheadPipe, "readahead-pipeline", false, "pipeline each prefetch window's READs on the upstream connection")
 	fs.IntVar(&f.WriteCoalesce, "write-coalesce", 0, "merge runs of adjacent dirty blocks into WRITEs up to this many bytes at flush (0 = off, max 32768)")
 	fs.BoolVar(&f.PersistIndex, "persist-index", true, "reload/save the disk cache index across restarts")
 	fs.DurationVar(&f.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
@@ -201,8 +191,6 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.IntVar(&f.TraceRing, "trace-ring", 0, "keep the last N request traces for /traces (0 = tracing off)")
 	fs.IntVar(&f.FlightRing, "flightrec", 0, "retain the last N slow/error call recordings for /flightrec (0 = off)")
 	fs.DurationVar(&f.SlowThreshold, "slow-threshold", 0, "latency that promotes a call to the flight recorder (0 = default 100ms)")
-	fs.IntVar(&f.StatuszTopN, "statusz-topn", 0, "rows per /statusz ranking (0 = default)")
-	fs.IntVar(&f.AuditRing, "audit-ring", 0, "write-back audit events retained for /statusz (0 = default)")
 	fs.BoolVar(&f.QoS, "qos", false, "enable per-client admission control and fair-share scheduling")
 	fs.IntVar(&f.QoSInflight, "qos-inflight", 0, "global concurrent-call cap under -qos (0 = default 64)")
 	fs.IntVar(&f.QoSQueue, "qos-queue", 0, "per-client admission queue bound under -qos (0 = default 128)")
@@ -212,11 +200,7 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.DurationVar(&f.BrownoutEnter, "brownout-enter", 0, "sustained queue delay that trips brownout degradation (0 = off)")
 	fs.DurationVar(&f.BrownoutExit, "brownout-exit", 0, "queue delay below which brownout clears (0 = enter/4)")
 	fs.DurationVar(&f.CallBudget, "call-budget", 0, "default end-to-end deadline for calls without a propagated budget (0 = off)")
-	fs.IntVar(&f.AcctEntries, "acct-entries", 0, "max per-file/per-client accounting rows (0 = default 4096)")
-	fs.DurationVar(&f.AcctTTL, "acct-ttl", 0, "evict accounting rows idle this long (0 = default 15m)")
 	fs.BoolVar(&f.Cachean, "cachean", false, "enable cache analytics: miss-ratio curves, working sets, what-if sizing (/cachez)")
-	fs.Float64Var(&f.CacheanRate, "cachean-sample-rate", 0, "cache-analytics spatial sample rate in (0,1] (0 = default 0.01)")
-	fs.DurationVar(&f.CacheanWindow, "cachean-window", 0, "cache-analytics working-set window (0 = default 60s)")
 	f.Log = BindLogFlags(fs)
 	return f
 }
@@ -248,68 +232,11 @@ func ReadKeyfile(path string) ([]byte, error) {
 	return key, nil
 }
 
-// Options converts the parsed flags into the classic ProxyOptions.
-// Daemons that honor the -backend selector should call OptionsV2.
+// Options converts the parsed flags into ProxyOptions, reading the
+// keyfile and validating the write policy, journal mode and backend
+// selection. The daemon-level fields (Listen, StatsEvery, MetricsAddr)
+// stay on the flags struct.
 func (f *ProxyFlags) Options() (ProxyOptions, error) {
-	v2, err := f.OptionsV2()
-	if err != nil {
-		return ProxyOptions{}, err
-	}
-	if v2.Backend != "" && v2.Backend != BackendNFS3 {
-		return ProxyOptions{}, fmt.Errorf("-backend %s needs the V2 options path", v2.Backend)
-	}
-	return v2.ProxyOptions, nil
-}
-
-// OptionsV2 converts the parsed flags into ProxyOptionsV2, reading the
-// keyfile and validating the write policy and backend selection. The
-// daemon-level fields (Listen, StatsEvery, MetricsAddr) stay on the
-// flags struct.
-func (f *ProxyFlags) OptionsV2() (ProxyOptionsV2, error) {
-	opts, err := f.baseOptions()
-	if err != nil {
-		return ProxyOptionsV2{}, err
-	}
-	v2 := ProxyOptionsV2{
-		ProxyOptions: opts,
-		Backend:      f.Backend,
-		ObjstoreDir:  f.ObjstoreDir,
-		Dedup:        f.Dedup,
-	}
-	switch f.Backend {
-	case "", BackendNFS3:
-		if f.Upstream == "" {
-			return ProxyOptionsV2{}, fmt.Errorf("-upstream is required with -backend nfs3")
-		}
-	case BackendObjstore:
-		if f.ObjstoreDir == "" {
-			return ProxyOptionsV2{}, fmt.Errorf("-objstore-dir is required with -backend objstore")
-		}
-	case BackendRepl:
-		if f.Replicas == "" {
-			return ProxyOptionsV2{}, fmt.Errorf("-replicas is required with -backend repl")
-		}
-		v2.Replicas = strings.Split(f.Replicas, ",")
-		if f.ReplQuorum || f.ReplHedgeQuant != 0 || f.ReplScrub != 0 ||
-			f.ReplFailThresh != 0 || f.ReplProbeEvery != 0 {
-			v2.ReplConfig = &replbe.Config{
-				Quorum:        f.ReplQuorum,
-				HedgeQuantile: f.ReplHedgeQuant,
-				ScrubInterval: f.ReplScrub,
-				FailThreshold: f.ReplFailThresh,
-				ProbeInterval: f.ReplProbeEvery,
-			}
-		}
-	default:
-		return ProxyOptionsV2{}, fmt.Errorf("unknown -backend %q (want nfs3, objstore or repl)", f.Backend)
-	}
-	if f.Dedup && f.CacheDir == "" {
-		return ProxyOptionsV2{}, fmt.Errorf("-dedup needs -cache-dir")
-	}
-	return v2, nil
-}
-
-func (f *ProxyFlags) baseOptions() (ProxyOptions, error) {
 	key, err := ReadKeyfile(f.Keyfile)
 	if err != nil {
 		return ProxyOptions{}, err
@@ -323,10 +250,11 @@ func (f *ProxyFlags) baseOptions() (ProxyOptions, error) {
 		return ProxyOptions{}, err
 	}
 	opts := ProxyOptions{
+		Backend:             f.Backend,
 		UpstreamAddr:        f.Upstream,
 		UpstreamKey:         key,
+		ObjstoreDir:         f.ObjstoreDir,
 		ReadAhead:           f.ReadAhead,
-		ReadAheadPipeline:   f.ReadAheadPipe,
 		PersistIndex:        f.PersistIndex,
 		IdleWriteBack:       f.IdleWriteBack,
 		UpstreamCallTimeout: f.CallTimeout,
@@ -337,14 +265,38 @@ func (f *ProxyFlags) baseOptions() (ProxyOptions, error) {
 		TraceRing:           f.TraceRing,
 		FlightRing:          f.FlightRing,
 		SlowThreshold:       f.SlowThreshold,
-		StatuszTopN:         f.StatuszTopN,
-		AuditRing:           f.AuditRing,
 		CallBudget:          f.CallBudget,
-		AcctMaxEntries:      f.AcctEntries,
-		AcctIdleTTL:         f.AcctTTL,
 		Cachean:             f.Cachean,
-		CacheanRate:         f.CacheanRate,
-		CacheanWindow:       f.CacheanWindow,
+	}
+	switch f.Backend {
+	case "", BackendNFS3:
+		if f.Upstream == "" {
+			return ProxyOptions{}, fmt.Errorf("-upstream is required with -backend nfs3")
+		}
+	case BackendObjstore:
+		if f.ObjstoreDir == "" {
+			return ProxyOptions{}, fmt.Errorf("-objstore-dir is required with -backend objstore")
+		}
+	case BackendRepl:
+		if f.Replicas == "" {
+			return ProxyOptions{}, fmt.Errorf("-replicas is required with -backend repl")
+		}
+		opts.Replicas = strings.Split(f.Replicas, ",")
+		if f.ReplQuorum || f.ReplHedgeQuant != 0 || f.ReplScrub != 0 ||
+			f.ReplFailThresh != 0 || f.ReplProbeEvery != 0 {
+			opts.ReplConfig = &replbe.Config{
+				Quorum:        f.ReplQuorum,
+				HedgeQuantile: f.ReplHedgeQuant,
+				ScrubInterval: f.ReplScrub,
+				FailThreshold: f.ReplFailThresh,
+				ProbeInterval: f.ReplProbeEvery,
+			}
+		}
+	default:
+		return ProxyOptions{}, fmt.Errorf("unknown -backend %q (want nfs3, objstore or repl)", f.Backend)
+	}
+	if f.Dedup && f.CacheDir == "" {
+		return ProxyOptions{}, fmt.Errorf("-dedup needs -cache-dir")
 	}
 	if f.QoS || f.BrownoutEnter > 0 {
 		opts.QoS = &qos.Config{
@@ -362,7 +314,7 @@ func (f *ProxyFlags) baseOptions() (ProxyOptions, error) {
 			Dir: f.CacheDir, Banks: f.CacheBanks, SetsPerBank: f.CacheSets,
 			Assoc: f.CacheAssoc, BlockSize: f.CacheBlock, Policy: policy,
 			Stripes: f.Stripes, Journal: f.Journal, JournalSync: syncMode,
-			WriteCoalesce: f.WriteCoalesce,
+			WriteCoalesce: f.WriteCoalesce, Dedup: f.Dedup,
 		}
 	}
 	if f.FileCacheDir != "" {

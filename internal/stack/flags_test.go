@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	gvfs "gvfs"
 	"gvfs/internal/cache"
+	"gvfs/internal/memfs"
 	"gvfs/internal/tunnel"
 )
 
@@ -47,7 +49,6 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 		"-degraded-reads", "-failure-threshold", "7", "-probe-interval", "1s",
 		"-metrics", "127.0.0.1:9049", "-trace-ring", "256",
 		"-flightrec", "128", "-slow-threshold", "150ms",
-		"-statusz-topn", "7", "-audit-ring", "64",
 		"-log-level", "debug", "-log-file", "/tmp/gvfs.log", "-log-ring", "512",
 	)
 	if f.Listen != "127.0.0.1:9999" || f.MetricsAddr != "127.0.0.1:9049" || f.StatsEvery != 0 {
@@ -94,9 +95,6 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 	}
 	if opts.FlightRing != 128 || opts.SlowThreshold != 150*time.Millisecond {
 		t.Errorf("flight recorder knobs wrong: ring=%d slow=%v", opts.FlightRing, opts.SlowThreshold)
-	}
-	if opts.StatuszTopN != 7 || opts.AuditRing != 64 {
-		t.Errorf("accounting knobs wrong: topn=%d audit=%d", opts.StatuszTopN, opts.AuditRing)
 	}
 	if f.Log == nil {
 		t.Fatal("BindProxyFlags must bind log flags")
@@ -183,5 +181,84 @@ func TestProxyFlagsDefaultsAndErrors(t *testing.T) {
 	}
 	if _, err := parseFlags(t, "-upstream", "u:1", "-keyfile", short).Options(); err == nil {
 		t.Error("short keyfile must be rejected")
+	}
+}
+
+// TestProxyFlagsBackends parses each -backend selection, checks the
+// options it yields, and starts a proxy from them on the address the
+// daemon would copy from -listen.
+func TestProxyFlagsBackends(t *testing.T) {
+	nfs, err := StartNFSServer(memfs.New(), NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfs.Close()
+	dir := t.TempDir()
+	r1, r2 := filepath.Join(dir, "r1"), filepath.Join(dir, "r2")
+	cases := []struct {
+		name  string
+		args  []string
+		check func(ProxyOptions) bool
+	}{
+		{"nfs3", []string{"-upstream", nfs.Addr},
+			func(o ProxyOptions) bool { return o.Backend == BackendNFS3 && o.UpstreamAddr == nfs.Addr }},
+		{"objstore", []string{"-backend", "objstore", "-objstore-dir", filepath.Join(dir, "obj"),
+			"-cache-dir", filepath.Join(dir, "cache"), "-dedup"},
+			func(o ProxyOptions) bool {
+				return o.Backend == BackendObjstore && o.ObjstoreDir == filepath.Join(dir, "obj") &&
+					o.CacheConfig != nil && o.CacheConfig.Dedup
+			}},
+		{"repl", []string{"-backend", "repl", "-replicas", "objstore:" + r1 + ",objstore:" + r2,
+			"-repl-fail-threshold", "5"},
+			func(o ProxyOptions) bool {
+				return o.Backend == BackendRepl && len(o.Replicas) == 2 &&
+					o.ReplConfig != nil && o.ReplConfig.FailThreshold == 5
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := parseFlags(t, append(tc.args, "-listen", "127.0.0.1:0")...)
+			opts, err := f.Options()
+			if err != nil {
+				t.Fatalf("Options: %v", err)
+			}
+			if !tc.check(opts) {
+				t.Fatalf("options wrong: %+v", opts)
+			}
+			if opts.ListenAddr != "" {
+				t.Errorf("Options() set ListenAddr %q; the daemon owns it", opts.ListenAddr)
+			}
+			opts.ListenAddr = f.Listen
+			node, err := StartProxy(opts)
+			if err != nil {
+				t.Fatalf("StartProxy: %v", err)
+			}
+			defer node.Close()
+			if !strings.HasPrefix(node.Addr, "127.0.0.1:") {
+				t.Errorf("node listens on %q, want a loopback port", node.Addr)
+			}
+			sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
+			if err != nil {
+				t.Fatalf("mount: %v", err)
+			}
+			defer sess.Close()
+			if err := sess.WriteFile("/f", []byte("hello")); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got, err := sess.ReadFile("/f"); err != nil || string(got) != "hello" {
+				t.Fatalf("read back %q, %v", got, err)
+			}
+		})
+	}
+
+	for _, args := range [][]string{
+		{"-backend", "objstore"},
+		{"-backend", "repl"},
+		{"-backend", "bogus", "-upstream", "u:1"},
+		{"-upstream", "u:1", "-dedup"},
+	} {
+		if _, err := parseFlags(t, args...).Options(); err == nil {
+			t.Errorf("Options accepted %v", args)
+		}
 	}
 }

@@ -184,14 +184,58 @@ func StartFileChanServer(store filechan.FileStore, link *simnet.Link, key []byte
 	return &Node{Addr: l.Addr().String(), listener: l, extra: []func(){srv.Close}}, nil
 }
 
+// Backend selector values for ProxyOptions.Backend.
+const (
+	BackendNFS3     = "nfs3"     // NFSv3 over ONC-RPC to UpstreamAddr (classic)
+	BackendObjstore = "objstore" // local content-addressed object store, no upstream
+	BackendRepl     = "repl"     // replicated composite over Replicas specs
+)
+
 // ProxyOptions configure StartProxy.
 type ProxyOptions struct {
+	// ListenAddr is the address the proxy serves NFS on (default
+	// "127.0.0.1:0", an ephemeral loopback port; see Node.Addr).
+	ListenAddr string
+
+	// Backend selects the upstream implementation: BackendNFS3 (the
+	// default when empty) dials UpstreamAddr; BackendObjstore serves
+	// from a local object store and ignores the Upstream* fields;
+	// BackendRepl fans out over Replicas or ReplicaBackends.
+	Backend string
+
 	// UpstreamAddr is the next hop's RPC address.
 	UpstreamAddr string
 	// UpstreamLink shapes the upstream connection.
 	UpstreamLink *simnet.Link
 	// UpstreamKey tunnels the upstream connection.
 	UpstreamKey []byte
+
+	// ObjstoreDir is the object store directory (BackendObjstore).
+	// Ignored when ObjstoreStore is set.
+	ObjstoreDir string
+
+	// ObjstoreStore supplies the store directly — a MemStore for
+	// self-contained runs, or a CountingStore wrapper when the caller
+	// wants per-object traffic accounting (the dedup benchmark).
+	ObjstoreStore objstore.Store
+
+	// ObjstoreBlock is the store's block size (0 = objstore default).
+	ObjstoreBlock int
+
+	// Replicas lists the replicated backend's members (BackendRepl) in
+	// priority order — index 0 is the write primary and, when it is an
+	// NFS replica, the control-plane relay. Each spec is
+	// "objstore:<dir>" or "nfs3:<host:port>".
+	Replicas []string
+
+	// ReplicaBackends supplies pre-built replicas directly (tests and
+	// benchmarks wire simnet-backed replicas this way); takes
+	// precedence over Replicas. The composite owns and closes them.
+	ReplicaBackends []replbe.Replica
+
+	// ReplConfig tunes the replicated backend (nil = replbe defaults:
+	// hedged reads at the p95 latency, 30s scrub, primary-ack writes).
+	ReplConfig *replbe.Config
 
 	// ListenLink / ListenKey shape and protect this proxy's listener.
 	ListenLink *simnet.Link
@@ -202,7 +246,8 @@ type ProxyOptions struct {
 
 	// CacheConfig enables the block-based disk cache (Dir required).
 	// All fields pass through verbatim, including the concurrency
-	// knobs Stripes and SerialIO (see cache.Config).
+	// knobs Stripes and SerialIO and the cross-file Dedup map (see
+	// cache.Config).
 	CacheConfig *cache.Config
 
 	// SharedBlockCache lets several proxies serve from one disk cache
@@ -224,11 +269,6 @@ type ProxyOptions struct {
 	// ReadAhead enables sequential prefetching of this many blocks at
 	// the proxy (requires CacheConfig).
 	ReadAhead int
-
-	// ReadAheadPipeline pipelines each prefetch window's READs on the
-	// upstream connection instead of issuing one call per block (see
-	// proxy.Config.ReadAheadPipeline).
-	ReadAheadPipeline bool
 
 	// PersistIndex reloads a saved cache-tag snapshot from the cache
 	// directory at startup, so a restarted proxy resumes with a warm
@@ -276,11 +316,6 @@ type ProxyOptions struct {
 	// Logger, when set, gives the proxy a structured event log.
 	Logger *obs.Logger
 
-	// StatuszTopN bounds each /statusz ranking; AuditRing bounds the
-	// write-back audit trail (0 = package defaults).
-	StatuszTopN int
-	AuditRing   int
-
 	// QoS, when non-nil, enables per-client admission control: the
 	// scheduler is built from this config (metrics wired into the
 	// proxy's registry when the config doesn't name one) and closed
@@ -292,87 +327,19 @@ type ProxyOptions struct {
 	// (0 = no local deadline).
 	CallBudget time.Duration
 
-	// AcctMaxEntries / AcctIdleTTL bound the per-file and per-client
-	// accounting tables (0 = package defaults).
-	AcctMaxEntries int
-	AcctIdleTTL    time.Duration
-
 	// Cachean enables the cache-analytics subsystem (internal/cachean):
 	// a SHARDS-sampled reuse-distance tracker behind the block cache
 	// that maintains online miss-ratio curves, working-set estimates
 	// and what-if sizing, surfaced at /cachez and as gvfs_cachean_*
-	// metrics. The analyzer is installed as the block cache's access
-	// tap, so it needs CacheConfig; with only a SharedBlockCache the
-	// proxy-level demand taps still feed it, but the MRC stays empty.
-	// CacheanRate is the spatial sample rate (0 = 0.01); CacheanWindow
-	// the working-set sliding window (0 = 60s).
-	Cachean       bool
-	CacheanRate   float64
-	CacheanWindow time.Duration
+	// metrics, at the package's default sample rate and window. The
+	// analyzer is installed as the block cache's access tap, so it
+	// needs CacheConfig; with only a SharedBlockCache the proxy-level
+	// demand taps still feed it, but the MRC stays empty.
+	Cachean bool
 }
 
-// Backend selector values for ProxyOptionsV2.Backend.
-const (
-	BackendNFS3     = "nfs3"     // NFSv3 over ONC-RPC to UpstreamAddr (classic)
-	BackendObjstore = "objstore" // local content-addressed object store, no upstream
-	BackendRepl     = "repl"     // replicated composite over Replicas specs
-)
-
-// ProxyOptionsV2 is the versioned successor of ProxyOptions: all the
-// classic wiring plus the backend selector that arrived with the
-// pluggable upstream API. The zero Backend keeps the historical
-// behavior, so ProxyOptionsV2{ProxyOptions: opts} is always equivalent
-// to the old StartProxy(opts).
-type ProxyOptionsV2 struct {
-	ProxyOptions
-
-	// Backend selects the upstream implementation: BackendNFS3
-	// (default) dials UpstreamAddr; BackendObjstore serves from a local
-	// object store and ignores the Upstream* fields entirely.
-	Backend string
-
-	// ObjstoreDir is the object store directory (BackendObjstore).
-	// Ignored when ObjstoreStore is set.
-	ObjstoreDir string
-
-	// ObjstoreStore supplies the store directly — a MemStore for
-	// self-contained runs, or a CountingStore wrapper when the caller
-	// wants per-object traffic accounting (the dedup benchmark).
-	ObjstoreStore objstore.Store
-
-	// ObjstoreBlock is the store's block size (0 = objstore default).
-	ObjstoreBlock int
-
-	// Dedup enables the content-addressed dedup map in the block cache
-	// (cache.Config.Dedup): identical blocks across files — N cloned VM
-	// images — share one cached frame.
-	Dedup bool
-
-	// Replicas lists the replicated backend's members (BackendRepl) in
-	// priority order — index 0 is the write primary and, when it is an
-	// NFS replica, the control-plane relay. Each spec is
-	// "objstore:<dir>" or "nfs3:<host:port>".
-	Replicas []string
-
-	// ReplicaBackends supplies pre-built replicas directly (tests and
-	// benchmarks wire simnet-backed replicas this way); takes
-	// precedence over Replicas. The composite owns and closes them.
-	ReplicaBackends []replbe.Replica
-
-	// ReplConfig tunes the replicated backend (nil = replbe defaults:
-	// hedged reads at the p95 latency, 30s scrub, primary-ack writes).
-	ReplConfig *replbe.Config
-}
-
-// StartProxy runs a GVFS proxy node over the classic NFSv3 upstream.
-// Equivalent to StartProxyV2 with the zero backend selector.
+// StartProxy runs a GVFS proxy node over the selected backend.
 func StartProxy(opts ProxyOptions) (*Node, error) {
-	return StartProxyV2(ProxyOptionsV2{ProxyOptions: opts})
-}
-
-// StartProxyV2 runs a GVFS proxy node over the selected backend.
-func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
-	opts := o.ProxyOptions
 	var cleanup []func()
 	fail := func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
@@ -381,23 +348,18 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 	}
 
 	cfg := proxy.Config{
-		Mapper:            opts.Mapper,
-		DisableMeta:       opts.DisableMeta,
-		ReadAhead:         opts.ReadAhead,
-		ReadAheadPipeline: opts.ReadAheadPipeline,
-		DegradedReads:     opts.DegradedReads,
-		FailureThreshold:  opts.FailureThreshold,
-		ProbeInterval:     opts.ProbeInterval,
-		Metrics:           opts.Metrics,
-		Logger:            opts.Logger,
-		StatuszTopN:       opts.StatuszTopN,
-		AuditRing:         opts.AuditRing,
-		CallBudget:        opts.CallBudget,
-		AcctMaxEntries:    opts.AcctMaxEntries,
-		AcctIdleTTL:       opts.AcctIdleTTL,
+		Mapper:           opts.Mapper,
+		DisableMeta:      opts.DisableMeta,
+		ReadAhead:        opts.ReadAhead,
+		DegradedReads:    opts.DegradedReads,
+		FailureThreshold: opts.FailureThreshold,
+		ProbeInterval:    opts.ProbeInterval,
+		Metrics:          opts.Metrics,
+		Logger:           opts.Logger,
+		CallBudget:       opts.CallBudget,
 	}
 
-	switch o.Backend {
+	switch opts.Backend {
 	case "", BackendNFS3:
 		dial := Dialer(opts.UpstreamAddr, opts.UpstreamLink, opts.UpstreamKey)
 		conn, err := dial()
@@ -421,23 +383,23 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 		cfg.Upstream = upstream
 		cleanup = append(cleanup, func() { upstream.Close() })
 	case BackendObjstore:
-		store := o.ObjstoreStore
+		store := opts.ObjstoreStore
 		if store == nil {
-			if o.ObjstoreDir == "" {
+			if opts.ObjstoreDir == "" {
 				return nil, fmt.Errorf("stack: objstore backend needs ObjstoreDir or ObjstoreStore")
 			}
-			ds, err := objstore.NewDirStore(o.ObjstoreDir)
+			ds, err := objstore.NewDirStore(opts.ObjstoreDir)
 			if err != nil {
 				return nil, fmt.Errorf("stack: objstore: %w", err)
 			}
 			store = ds
 		}
-		cfg.Backend = objstore.New(store, o.ObjstoreBlock)
+		cfg.Backend = objstore.New(store, opts.ObjstoreBlock)
 	case BackendRepl:
-		reps := o.ReplicaBackends
+		reps := opts.ReplicaBackends
 		var relay nfs3.Caller
 		if len(reps) == 0 {
-			for i, spec := range o.Replicas {
+			for i, spec := range opts.Replicas {
 				kind, arg, ok := strings.Cut(spec, ":")
 				if !ok || arg == "" {
 					fail()
@@ -451,7 +413,7 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 						fail()
 						return nil, fmt.Errorf("stack: replica %s: %w", name, err)
 					}
-					reps = append(reps, replbe.Replica{Name: name, B: objstore.New(ds, o.ObjstoreBlock)})
+					reps = append(reps, replbe.Replica{Name: name, B: objstore.New(ds, opts.ObjstoreBlock)})
 				case "nfs3":
 					dial := Dialer(arg, nil, opts.UpstreamKey)
 					conn, err := dial()
@@ -504,8 +466,8 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 			relay = client
 		}
 		rcfg := replbe.Config{}
-		if o.ReplConfig != nil {
-			rcfg = *o.ReplConfig
+		if opts.ReplConfig != nil {
+			rcfg = *opts.ReplConfig
 		}
 		rb, err := replbe.New(reps, rcfg)
 		if err != nil {
@@ -517,7 +479,7 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 		cleanup = append(cleanup, func() { rb.Close() })
 	default:
 		return nil, fmt.Errorf("stack: unknown backend %q (want %q, %q or %q)",
-			o.Backend, BackendNFS3, BackendObjstore, BackendRepl)
+			opts.Backend, BackendNFS3, BackendObjstore, BackendRepl)
 	}
 
 	if opts.TraceRing > 0 {
@@ -560,10 +522,7 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 
 	var analyzer *cachean.Analyzer
 	if opts.Cachean {
-		analyzer = cachean.New(cachean.Config{
-			Rate:   opts.CacheanRate,
-			Window: opts.CacheanWindow,
-		})
+		analyzer = cachean.New(cachean.Config{})
 		cfg.Cachean = analyzer
 		cleanup = append(cleanup, analyzer.Close)
 	}
@@ -588,9 +547,6 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 		ccfg := *opts.CacheConfig
 		if ccfg.Logger == nil && opts.Logger != nil {
 			ccfg.Logger = opts.Logger.Named("cache")
-		}
-		if o.Dedup {
-			ccfg.Dedup = true
 		}
 		if analyzer != nil && ccfg.Tap == nil {
 			ccfg.Tap = analyzer
@@ -643,16 +599,18 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 	// reflects every previously acknowledged write.
 	if blockCache != nil && blockCache.JournalEnabled() {
 		if _, err := p.RecoverJournal(); err != nil {
-			for i := len(cleanup) - 1; i >= 0; i-- {
-				cleanup[i]()
-			}
+			fail()
 			return nil, fmt.Errorf("stack: journal recovery: %w", err)
 		}
 	}
 	srv := sunrpc.NewServer()
 	srv.Register(nfs3.Program, nfs3.Version, p)
 	srv.Register(nfs3.MountProgram, nfs3.MountVersion, p)
-	l, err := listen(opts.ListenLink, opts.ListenKey)
+	addr := opts.ListenAddr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	l, err := ListenOn(addr, opts.ListenLink, opts.ListenKey)
 	if err != nil {
 		fail()
 		return nil, err

@@ -9,11 +9,13 @@ import (
 	gvfs "gvfs"
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
+	"gvfs/internal/obs"
 	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
 )
 
-// mountTestSession wires a session straight to a memfs NFS server.
+// mountTestSession wires a session straight to a memfs NFS server. The
+// session publishes into its own registry (Session.Metrics).
 func mountTestSession(t testing.TB, pages int) (*gvfs.Session, *memfs.FS) {
 	t.Helper()
 	fs := memfs.New()
@@ -27,6 +29,7 @@ func mountTestSession(t testing.TB, pages int) (*gvfs.Session, *memfs.FS) {
 		Export:         "/",
 		Cred:           sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode(),
 		PageCachePages: pages,
+		Metrics:        obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +155,41 @@ func TestUnalignedWriteAt(t *testing.T) {
 	}
 }
 
+// TestPartialWriteToUncachedBlock writes a short chunk at the start of
+// a block the session has not cached: later reads of that block must
+// return the patch followed by the file's existing bytes, not zeros.
+func TestPartialWriteToUncachedBlock(t *testing.T) {
+	sess, fs := mountTestSession(t, 16)
+	if err := sess.WriteFile("/p", bytes.Repeat([]byte{0x5a}, 20000)); err != nil {
+		t.Fatal(err)
+	}
+	sess.DropCaches()
+	f, err := sess.Open("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	bs := int64(sess.BlockSize())
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xAB}, 100), bs); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, bs)
+	if _, err := f.ReadAt(got, bs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadFile("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := data[bs : 2*bs]; !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("block after partial write differs from server at byte %d: got %#x, want %#x", i, got[i], want[i])
+	}
+}
+
 func TestTruncateAndSync(t *testing.T) {
 	sess, _ := mountTestSession(t, 4)
 	sess.WriteFile("/t", make([]byte, 100))
@@ -248,22 +286,25 @@ func TestCreateTruncatesExisting(t *testing.T) {
 
 func TestPageCacheServesRereads(t *testing.T) {
 	sess, _ := mountTestSession(t, 64)
+	reg := sess.Metrics()
 	payload := bytes.Repeat([]byte{7}, 64*1024)
 	sess.WriteFile("/p", payload)
 	sess.DropCaches()
 	if _, err := sess.ReadFile("/p"); err != nil {
 		t.Fatal(err)
 	}
-	st1 := sess.PageCacheStats()
+	st1 := reg.Snapshot()
 	if _, err := sess.ReadFile("/p"); err != nil {
 		t.Fatal(err)
 	}
-	st2 := sess.PageCacheStats()
-	if st2.Hits <= st1.Hits {
-		t.Errorf("no page-cache hits on re-read: %+v -> %+v", st1, st2)
+	st2 := reg.Snapshot()
+	hits1, hits2 := st1.Counter("gvfs_pagecache_hits_total"), st2.Counter("gvfs_pagecache_hits_total")
+	misses1, misses2 := st1.Counter("gvfs_pagecache_misses_total"), st2.Counter("gvfs_pagecache_misses_total")
+	if hits2 <= hits1 {
+		t.Errorf("no page-cache hits on re-read: %d -> %d", hits1, hits2)
 	}
-	if st2.Misses != st1.Misses {
-		t.Errorf("re-read missed: %+v -> %+v", st1, st2)
+	if misses2 != misses1 {
+		t.Errorf("re-read missed: %d -> %d misses", misses1, misses2)
 	}
 }
 
